@@ -154,10 +154,13 @@ bool CacheStore::open(const std::string &P, ContentCache &Cache,
     return false;
   }
 
-  // Evictions (including any triggered by the replay below, if the
-  // journal holds more live entries than the cache bound) feed garbage
-  // accounting from here on.
+  // Evictions and alias drops (including any triggered by the replay
+  // below, if the journal holds more live records than the cache bounds)
+  // feed garbage accounting from here on.
   Cache.setEvictHook([this](const ContentKey &K) { noteEvicted(K); });
+  Cache.setAliasDropHook([this](const ContentKey &Raw, const ContentKey &C) {
+    noteAliasDropped(Raw, C);
+  });
 
   // Slurp the whole journal; it is bounded by the cache size times the
   // garbage ratio, both of which compaction keeps small.
@@ -303,9 +306,15 @@ void CacheStore::noteInsert(const ContentKey &Canon, const CachedResult &R) {
 }
 
 void CacheStore::noteAlias(const ContentKey &Raw, const ContentKey &Canon) {
-  if (Fd < 0)
+  if (Fd < 0 || Raw == Canon)
     return;
   appendRecord(encodeAliasPayload(Raw, Canon));
+}
+
+void CacheStore::noteAliasDropped(const ContentKey &Raw,
+                                  const ContentKey &Canon) {
+  if (Fd >= 0)
+    GarbageBytes += HeaderBytes + encodeAliasPayload(Raw, Canon).size();
 }
 
 void CacheStore::noteEvicted(const ContentKey &Canon) {
@@ -403,6 +412,7 @@ void CacheStore::appendRecord(const std::string &) {}
 void CacheStore::noteInsert(const ContentKey &, const CachedResult &) {}
 void CacheStore::noteAlias(const ContentKey &, const ContentKey &) {}
 void CacheStore::noteEvicted(const ContentKey &) {}
+void CacheStore::noteAliasDropped(const ContentKey &, const ContentKey &) {}
 bool CacheStore::maybeCompact(const ContentCache &) { return false; }
 bool CacheStore::compact(const ContentCache &) { return false; }
 void CacheStore::sync() {}

@@ -26,11 +26,12 @@
 /// committed — a crashed write yields a clean miss, never a corrupt
 /// serve.
 ///
-/// Superseded records (LRU evictions, refreshed keys) become garbage
-/// that only compaction reclaims: the live entries are rewritten
-/// oldest-first to a temp file (so replay reproduces the cache's
-/// recency order), fsync'd, renamed over the journal, and the directory
-/// fsync'd — the same atomic-replace idiom as the snapshot journal.
+/// Superseded records (LRU evictions, refreshed keys, aliases the index
+/// let go of) become garbage that only compaction reclaims: the live
+/// entries are rewritten oldest-first to a temp file (so replay
+/// reproduces the cache's recency order), fsync'd, renamed over the
+/// journal, and the directory fsync'd — the same atomic-replace idiom as
+/// the snapshot journal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,13 +89,19 @@ public:
   /// recompile, never a phantom cache entry.
   void noteInsert(const ContentKey &Canon, const CachedResult &R);
 
-  /// Journals a raw -> canonical alias.
+  /// Journals a raw -> canonical alias (a self-alias is not recorded,
+  /// as ContentCache::alias ignores it). Call before ContentCache::alias,
+  /// whose drop hook then counts any record this one replaces.
   void noteAlias(const ContentKey &Raw, const ContentKey &Canon);
 
   /// Garbage accounting for an LRU eviction (wire via
   /// ContentCache::setEvictHook). The record stays on disk until
   /// compaction; replaying it is harmless (the entry just re-evicts).
   void noteEvicted(const ContentKey &Canon);
+
+  /// Garbage accounting for an alias the index let go of (wire via
+  /// ContentCache::setAliasDropHook).
+  void noteAliasDropped(const ContentKey &Raw, const ContentKey &Canon);
 
   /// Compacts when the journal is big enough and mostly garbage.
   /// \returns true if a compaction ran.

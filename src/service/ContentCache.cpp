@@ -6,6 +6,8 @@
 
 #include "service/ContentCache.h"
 
+#include <iterator>
+
 using namespace vpo;
 using namespace vpo::service;
 
@@ -105,9 +107,9 @@ const CachedResult *ContentCache::lookupRaw(const ContentKey &Raw) {
     ++Misses;
     return nullptr;
   }
-  auto It = Entries.find(A->second);
+  auto It = Entries.find(A->second->second);
   if (It == Entries.end()) {
-    Aliases.erase(A); // dangling: target was evicted
+    dropAlias(A); // dangling: target was evicted
     ++Misses;
     return nullptr;
   }
@@ -138,15 +140,17 @@ void ContentCache::insert(const ContentKey &Canon, CachedResult R) {
 void ContentCache::alias(const ContentKey &Raw, const ContentKey &Canon) {
   if (MaxEntries == 0 || Raw == Canon)
     return;
-  auto It = Aliases.find(Raw);
-  if (It != Aliases.end()) {
-    It->second = Canon;
-    return;
-  }
-  Aliases[Raw] = Canon;
-  AliasOrder.push_back(Raw);
-  while (AliasOrder.size() > MaxEntries * 4) {
-    Aliases.erase(AliasOrder.front());
-    AliasOrder.pop_front();
-  }
+  if (auto It = Aliases.find(Raw); It != Aliases.end())
+    dropAlias(It); // replaced: the new record supersedes the old one
+  AliasOrder.emplace_back(Raw, Canon);
+  Aliases[Raw] = std::prev(AliasOrder.end());
+  while (AliasOrder.size() > MaxEntries * 4)
+    dropAlias(Aliases.find(AliasOrder.front().first));
+}
+
+void ContentCache::dropAlias(AliasMap::iterator It) {
+  if (OnAliasDrop)
+    OnAliasDrop(It->second->first, It->second->second);
+  AliasOrder.erase(It->second);
+  Aliases.erase(It);
 }

@@ -23,10 +23,13 @@
 ///     literal bytes to the canonical key.
 ///
 /// A byte-identical repeat resolves through the alias index without any
-/// parsing. A whitespace-variant request misses the alias index, costs
-/// one worker round (which canonicalizes it), and then discovers the
-/// existing store entry — so the *result* is still served from cache,
-/// byte-identical, and the variant's raw hash is aliased for next time.
+/// parsing. A whitespace-variant request misses the alias index and goes
+/// to a worker, which parses it and stops there: it sends the daemon the
+/// canonical key (the key exchange, service/Protocol.h) and waits. If the
+/// store holds that key, the daemon serves the stored result
+/// byte-identical, aliases the variant's raw hash for next time, and
+/// frees the worker — no pipeline, audit or run is paid twice. Only a
+/// store miss lets the worker go on to compile.
 ///
 /// Eviction is LRU with a fixed entry bound; aliases of an evicted
 /// entry die lazily on their next lookup. Only clean full-pipeline
@@ -119,8 +122,9 @@ public:
   /// LRU tail beyond the bound.
   void insert(const ContentKey &Canon, CachedResult R);
 
-  /// Records raw -> canonical. Bounded at 4x the entry bound; beyond
-  /// that the oldest aliases are dropped (they only cost a re-parse).
+  /// Records raw -> canonical (a re-alias counts as the newest). Bounded
+  /// at 4x the entry bound; beyond that the oldest aliases are dropped
+  /// (they only cost a re-parse).
   void alias(const ContentKey &Raw, const ContentKey &Canon);
 
   size_t size() const { return Entries.size(); }
@@ -134,6 +138,14 @@ public:
     OnEvict = std::move(H);
   }
 
+  /// Called with every alias the index lets go of: trimmed by the bound,
+  /// erased as dangling, or replaced by a re-alias. The journal counts the
+  /// record that named it as garbage.
+  void setAliasDropHook(
+      std::function<void(const ContentKey &Raw, const ContentKey &Canon)> H) {
+    OnAliasDrop = std::move(H);
+  }
+
   /// Walks live entries oldest-first (LRU tail to MRU head) — the order
   /// a compacted journal must append in so replaying it reproduces this
   /// cache's recency order.
@@ -144,13 +156,12 @@ public:
       Fn(It->first, It->second);
   }
 
-  /// Walks raw -> canonical aliases in insertion order.
+  /// Walks raw -> canonical aliases oldest-first, once each.
   void forEachAlias(
       const std::function<void(const ContentKey &, const ContentKey &)> &Fn)
       const {
-    for (const ContentKey &Raw : AliasOrder)
-      if (auto It = Aliases.find(Raw); It != Aliases.end())
-        Fn(Raw, It->second);
+    for (const auto &[Raw, Canon] : AliasOrder)
+      Fn(Raw, Canon);
   }
 
 private:
@@ -159,11 +170,20 @@ private:
   std::list<std::pair<ContentKey, CachedResult>> LRU;
   std::unordered_map<ContentKey, decltype(LRU)::iterator, ContentKeyHash>
       Entries;
-  std::unordered_map<ContentKey, ContentKey, ContentKeyHash> Aliases;
-  std::list<ContentKey> AliasOrder; ///< insertion order, for bounding
+  /// Oldest-first list of (raw key, canonical key), one node per alias.
+  std::list<std::pair<ContentKey, ContentKey>> AliasOrder;
+  using AliasMap =
+      std::unordered_map<ContentKey, decltype(AliasOrder)::iterator,
+                         ContentKeyHash>;
+  AliasMap Aliases;
+
+  /// Erases one alias from the index, telling the drop hook.
+  void dropAlias(AliasMap::iterator It);
+
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   std::function<void(const ContentKey &)> OnEvict;
+  std::function<void(const ContentKey &, const ContentKey &)> OnAliasDrop;
 };
 
 } // namespace service

@@ -306,6 +306,7 @@ void Daemon::pumpWorkers(uint64_t Now) {
       // the single armed probe, which runs at rung 0 to test recovery.
       P.AttemptRung = P.Rung;
       P.Probe = false;
+      P.Key.clear();
       if (W.StickyRung > P.Rung) {
         if (W.ProbeArmed && P.Rung == 0 && P.Req.Fault.empty()) {
           W.ProbeArmed = false;
@@ -430,6 +431,7 @@ void Daemon::handleFrame(uint64_t Seq, const std::string &Payload) {
     };
     Put("requests", Counters.Requests);
     Put("cache_hits", Counters.CacheHits);
+    Put("canonical_hits", Counters.CanonicalHits);
     Put("cache_entries", Cache.size());
     Put("shed", Counters.Shed);
     Put("worker_crashes", Counters.WorkerCrashes);
@@ -547,8 +549,8 @@ void Daemon::handleCompile(uint64_t Seq, uint64_t Ticket,
                             ? Req.DeadlineMs
                             : Opts.MaxDeadlineMs);
   // The raw key hashes the request bytes exactly as they arrived — the
-  // daemon never parses IR. Byte-identical repeats hit here; textual
-  // variants are aliased after one worker round canonicalizes them.
+  // daemon never parses IR. Byte-identical repeats hit here; a textual
+  // variant is resolved by its worker's key frame (handleWorkerKey).
   P.RawKey = hashContent(Req.IR, Req.Config, Req.Target, runSignature(Req));
   if (Req.Fault.empty()) {
     if (const CachedResult *CR = Cache.lookupRaw(P.RawKey)) {
@@ -611,14 +613,7 @@ void Daemon::readWorker(size_t Idx) {
   }
 }
 
-void Daemon::handleWorkerResponse(WorkerSlot &W, const std::string &Payload) {
-  std::optional<ServiceResponse> Parsed = ServiceResponse::fromJson(Payload);
-  if (!Parsed || !W.Busy) {
-    // A frame we cannot attribute to the in-flight attempt: the stream
-    // is unreliable, recycle the worker.
-    workerDied(size_t(&W - Workers.data()), "worker-crash");
-    return;
-  }
+Daemon::Pending Daemon::finishAttempt(WorkerSlot &W) {
   Pending P = std::move(W.Cur);
   W.Busy = false;
   W.DeadlineAt = 0;
@@ -626,6 +621,54 @@ void Daemon::handleWorkerResponse(WorkerSlot &W, const std::string &Payload) {
   W.DistinctFails = 0;
   if (P.Probe)
     W.StickyRung = 0; // probation passed: the slot re-promotes
+  return P;
+}
+
+void Daemon::handleWorkerKey(WorkerSlot &W, const std::string &KeyHex) {
+  size_t Idx = size_t(&W - Workers.data());
+  std::optional<ContentKey> Canon = contentKeyFromHex(KeyHex);
+  // One key frame per rung-0 unplanted attempt, the only kind the worker
+  // asks for; anything else means its stream can no longer be trusted.
+  if (!Canon || !W.Busy ||
+      !keyExchangeDue(W.Cur.AttemptRung, W.Cur.Req.Fault) ||
+      !W.Cur.Key.empty()) {
+    workerDied(Idx, "worker-crash");
+    return;
+  }
+  W.Cur.Key = KeyHex;
+  // A probation probe exists to run the full pipeline, so it never hits.
+  const CachedResult *CR = W.Cur.Probe ? nullptr : Cache.lookup(*Canon);
+  appendFrame(W.Out, verdictFrame(CR != nullptr));
+  if (CR) {
+    Pending P = finishAttempt(W);
+    ++Counters.CanonicalHits;
+    sendCached(P.ClientSeq, P.Ticket, P.Req, *CR);
+    // Alias the variant's raw bytes so its next repeat needs no worker.
+    // Serving first is safe: a lost alias only costs another key frame.
+    Store.noteAlias(P.RawKey, *Canon);
+    Cache.alias(P.RawKey, *Canon);
+    Store.maybeCompact(Cache);
+  }
+  if (!flushBuffer(W.Fd, W.Out))
+    workerDied(Idx, "worker-crash"); // a miss escalates like any death
+}
+
+void Daemon::handleWorkerResponse(WorkerSlot &W, const std::string &Payload) {
+  if (std::optional<std::string> KeyHex = parseKeyFrame(Payload)) {
+    handleWorkerKey(W, *KeyHex);
+    return;
+  }
+  std::optional<ServiceResponse> Parsed = ServiceResponse::fromJson(Payload);
+  // A frame we cannot attribute to the in-flight attempt, or a response
+  // naming another key than the attempt's key frame did: the stream is
+  // unreliable, recycle the worker (nothing is cached).
+  if (!Parsed || !W.Busy ||
+      (keyExchangeDue(W.Cur.AttemptRung, W.Cur.Req.Fault) &&
+       Parsed->Key != W.Cur.Key)) {
+    workerDied(size_t(&W - Workers.data()), "worker-crash");
+    return;
+  }
+  Pending P = finishAttempt(W);
 
   ServiceResponse Resp = std::move(*Parsed);
   Resp.Id = P.Req.Id;
@@ -658,8 +701,7 @@ void Daemon::handleWorkerResponse(WorkerSlot &W, const std::string &Payload) {
       // recompile rather than leaving a served-but-unjournaled entry.
       Store.noteInsert(*Canon, CR);
       Cache.insert(*Canon, std::move(CR));
-      if (!(P.RawKey == *Canon))
-        Store.noteAlias(P.RawKey, *Canon);
+      Store.noteAlias(P.RawKey, *Canon);
       Cache.alias(P.RawKey, *Canon);
       Store.maybeCompact(Cache);
     }
@@ -888,6 +930,10 @@ void Daemon::handleFrame(uint64_t, const std::string &) {}
 void Daemon::handleCompile(uint64_t, uint64_t, ServiceRequest) {}
 void Daemon::readWorker(size_t) {}
 void Daemon::handleWorkerResponse(WorkerSlot &, const std::string &) {}
+void Daemon::handleWorkerKey(WorkerSlot &, const std::string &) {}
+Daemon::Pending Daemon::finishAttempt(WorkerSlot &W) {
+  return std::move(W.Cur);
+}
 void Daemon::workerDied(size_t, const char *) {}
 void Daemon::checkDeadlines(uint64_t) {}
 void Daemon::pumpWorkers(uint64_t) {}

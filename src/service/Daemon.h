@@ -20,8 +20,13 @@
 ///      the request immediately with ErrorCode::Overloaded — the client
 ///      knows nothing was attempted.
 ///   2. **Content cache.** Results are keyed by canonicalized content
-///      (service/ContentCache.h); a hit bypasses the pool entirely and
-///      replays a byte-identical result.
+///      (service/ContentCache.h). A hit on the request's raw bytes
+///      bypasses the pool entirely and replays a byte-identical result.
+///      Other requests reach a worker, which on a rung-0 unplanted attempt
+///      parses, sends the canonical key and waits (the key exchange,
+///      service/Protocol.h): a textual variant of stored content is then
+///      answered from the store and its raw bytes aliased, and only a
+///      store miss is compiled. The event loop still never parses IR.
 ///   3. **Containment.** Each attempt runs in a forked worker under a
 ///      wall-clock deadline. A crash (any signal) or deadline expiry
 ///      kills only the worker; the daemon reaps it and respawns the
@@ -91,6 +96,9 @@ struct DaemonOptions {
 struct DaemonCounters {
   uint64_t Requests = 0;      ///< compile requests accepted
   uint64_t CacheHits = 0;     ///< served without touching the pool
+  /// Served from the store after a worker's key frame named stored
+  /// content (textual variants), with no compile.
+  uint64_t CanonicalHits = 0;
   uint64_t Shed = 0;          ///< rejected with Overloaded
   uint64_t WorkerCrashes = 0; ///< attempts that killed their worker
   uint64_t WorkerDeadlines = 0; ///< attempts killed by the deadline
@@ -159,6 +167,9 @@ private:
     /// this attempt is a probation probe.
     unsigned AttemptRung = 0;
     bool Probe = false; ///< rung-0 probe of a sticky-degraded worker
+    /// Canonical key (hex) from this attempt's key frame; empty until one
+    /// arrives. The final response must name the same key.
+    std::string Key;
     uint64_t Serial = 0; ///< per-request token for distinct-death counting
     uint64_t Ticket = 0; ///< position in the connection's response order
   };
@@ -200,6 +211,9 @@ private:
   void handleCompile(uint64_t Seq, uint64_t Ticket, ServiceRequest Req);
   void readWorker(size_t Idx);
   void handleWorkerResponse(WorkerSlot &W, const std::string &Payload);
+  void handleWorkerKey(WorkerSlot &W, const std::string &KeyHex);
+  /// Ends W's in-flight attempt as a success and \returns it.
+  Pending finishAttempt(WorkerSlot &W);
   void workerDied(size_t Idx, const char *Why);
   void checkDeadlines(uint64_t Now);
   void pumpWorkers(uint64_t Now);

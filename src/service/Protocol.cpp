@@ -431,6 +431,43 @@ ServiceResponse::fromJson(const std::string &Text) {
   return R;
 }
 
+std::string vpo::service::keyFrame(const std::string &KeyHex) {
+  JsonWriter W;
+  W.str("op", "key");
+  W.str("key", KeyHex);
+  return W.finish();
+}
+
+std::optional<std::string>
+vpo::service::parseKeyFrame(const std::string &Payload) {
+  // Responses open with "status", so a compile response is told apart by
+  // its first bytes instead of by a second full parse.
+  static const std::string Head = "{\"op\":\"key\",";
+  std::map<std::string, std::string> M;
+  if (Payload.compare(0, Head.size(), Head) != 0 ||
+      !parseFlatJson(Payload, M) || M.size() != 2 || !M.count("key"))
+    return std::nullopt;
+  return M["key"];
+}
+
+std::string vpo::service::verdictFrame(bool Hit) {
+  JsonWriter W;
+  W.str("op", "verdict");
+  W.boolean("hit", Hit);
+  return W.finish();
+}
+
+std::optional<bool>
+vpo::service::parseVerdictFrame(const std::string &Payload) {
+  std::map<std::string, std::string> M;
+  if (!parseFlatJson(Payload, M) || M.size() != 2 || M["op"] != "verdict")
+    return std::nullopt;
+  const std::string &Hit = M["hit"];
+  if (Hit != "true" && Hit != "false")
+    return std::nullopt;
+  return Hit == "true";
+}
+
 std::string ServiceResponse::resultSignature() const {
   JsonWriter W;
   W.str("status", errorCodeName(Status));

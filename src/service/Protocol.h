@@ -21,6 +21,16 @@
 /// forked worker — so one decoder serves both, and a worker can stream a
 /// response through the daemon without re-encoding.
 ///
+/// The worker hop adds one exchange inside a rung-0 attempt that carries
+/// no fault plant: the worker parses the request, sends a key frame with
+/// the canonical content key, and blocks for the daemon's verdict. On a
+/// hit the daemon answers the client from its store and the attempt ends
+/// with no response frame; on a miss the worker compiles and responds as
+/// usual, under the same key:
+///
+///   worker -> daemon  {"op":"key","key":"<32 hex digits>"}
+///   daemon -> worker  {"op":"verdict","hit":true}
+///
 /// Requests (op = "compile" | "ping" | "status" | "shutdown"):
 ///   {"op":"compile","id":"7","config":"coalesce-all","target":"alpha",
 ///    "ir":"function f(...) ...","remarks":true,"deadline_ms":2000}
@@ -194,6 +204,14 @@ struct ServiceResponse {
   /// (Cached, Id). The cache-correctness suite diffs this.
   std::string resultSignature() const;
 };
+
+/// The worker hop's key exchange (see the file comment).
+std::string keyFrame(const std::string &KeyHex);
+/// \returns the key a key frame names, or nullopt for any other payload.
+std::optional<std::string> parseKeyFrame(const std::string &Payload);
+std::string verdictFrame(bool Hit);
+/// \returns the verdict's hit flag, or nullopt for any other payload.
+std::optional<bool> parseVerdictFrame(const std::string &Payload);
 
 } // namespace service
 } // namespace vpo

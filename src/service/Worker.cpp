@@ -245,7 +245,8 @@ ServiceResponse errorResponse(const ServiceRequest &Req, ErrorCode Code,
 
 ServiceResponse vpo::service::compileServiceRequest(const ServiceRequest &Req,
                                                     const WorkerLimits &Limits,
-                                                    ContentKey *Canon) {
+                                                    ContentKey *Canon,
+                                                    const KeyCallback &OnKey) {
   if (Canon)
     *Canon = ContentKey();
 
@@ -302,16 +303,24 @@ ServiceResponse vpo::service::compileServiceRequest(const ServiceRequest &Req,
   if (Canon)
     *Canon = Key;
 
+  ServiceResponse R;
+  R.Id = Req.Id;
+  R.Rung = Req.Rung;
+  R.Key = Key.hex();
+
+  // A textual variant of stored content ends here: the daemon serves the
+  // stored result, so the pipeline, the audit and the run are not paid
+  // twice for one kernel.
+  if (OnKey && keyExchangeDue(Req.Rung, Req.Fault) && OnKey(Key)) {
+    R.Cached = true;
+    return R;
+  }
+
   // Crash/hang plants fire after parsing, before the pipeline — a real
   // worker death on a well-formed request, which is exactly the shape of
   // failure the daemon's containment and ladder exist for.
   if (Limits.AllowFaultInjection && !Req.Fault.empty())
     maybeDie(Req.Fault, Req.Rung);
-
-  ServiceResponse R;
-  R.Id = Req.Id;
-  R.Rung = Req.Rung;
-  R.Key = Key.hex();
 
   CollectingRemarkSink Sink;
   CompileOptions CO = ladderOptions(Cfg->Options, Req.Rung);
@@ -403,6 +412,18 @@ void vpo::service::workerMain(int Fd, const WorkerLimits &Limits) {
   posix::ignoreSigpipe();
   if (Limits.MemLimitMB)
     posix::limitAddressSpace(Limits.MemLimitMB << 20);
+  // The key exchange: report the canonical key, block for the verdict.
+  // A broken exchange ends the worker like any other protocol error.
+  KeyCallback AskDaemon = [&](const ContentKey &K) {
+    std::string Payload;
+    if (!writeFrame(Fd, keyFrame(K.hex())) ||
+        readFrame(Fd, Payload, Limits.MaxFrameBytes) != FrameStatus::Ok)
+      ::_exit(1);
+    std::optional<bool> Hit = parseVerdictFrame(Payload);
+    if (!Hit)
+      ::_exit(1);
+    return *Hit;
+  };
   for (;;) {
     std::string Payload;
     FrameStatus FS = readFrame(Fd, Payload, Limits.MaxFrameBytes);
@@ -416,8 +437,10 @@ void vpo::service::workerMain(int Fd, const WorkerLimits &Limits) {
       Resp.Status = ErrorCode::ParseError;
       Resp.Error = "malformed request frame";
     } else {
-      Resp = compileServiceRequest(*Req, Limits);
+      Resp = compileServiceRequest(*Req, Limits, nullptr, AskDaemon);
     }
+    if (Resp.Cached)
+      continue; // a hit: the daemon has already answered from its store
     if (!writeFrame(Fd, Resp.toJson()))
       ::_exit(1);
   }

@@ -17,7 +17,8 @@
 ///     CompileOptions::MaxFunctionInsts growth budget.
 ///
 /// compileServiceRequest is the pure, fork-free core (tests call it
-/// directly); workerMain wraps it in the serve loop.
+/// directly); workerMain wraps it in the serve loop and answers its key
+/// callback with the daemon's verdict (the key exchange, Protocol.h).
 ///
 /// The degradation ladder lives here too: rung 0 is the requested
 /// configuration, rung 1 disables coalescing and its companion passes
@@ -34,6 +35,8 @@
 #include "pipeline/Pipeline.h"
 #include "service/ContentCache.h"
 #include "service/Protocol.h"
+
+#include <functional>
 
 namespace vpo {
 namespace service {
@@ -73,16 +76,30 @@ const PipelineConfig *serviceConfigByName(const std::string &Name);
 /// returns the O0 reference options. All rungs keep guard rails on.
 CompileOptions ladderOptions(const CompileOptions &Requested, unsigned Rung);
 
+/// Whether an attempt runs the key exchange (service/Protocol.h): rung 0
+/// with no fault plant. Worker and daemon both decide by this, so a key
+/// frame on any other attempt is a protocol violation.
+inline bool keyExchangeDue(unsigned Rung, const std::string &Fault) {
+  return Rung == 0 && Fault.empty();
+}
+
+/// Called with the canonical content key; \returns true when the result
+/// for that key is already stored, so the compile need not run.
+using KeyCallback = std::function<bool(const ContentKey &)>;
+
 /// The pure worker core: validate, parse, canonicalize, compile at the
 /// request's rung, optionally simulate. Never throws, never aborts on
 /// any input (a crash here is a bug the daemon's containment turns into
 /// a degraded-but-served request). Fault plants of the crash/hang kind
 /// are honored *before* this returns, so they manifest as real worker
 /// deaths. \p Canon receives the canonical content key (zero when the
-/// input never parsed).
+/// input never parsed). When the key exchange is due, \p OnKey (if set)
+/// is asked after parsing; if it answers true the call returns at once
+/// with Cached set, the key, and no payload.
 ServiceResponse compileServiceRequest(const ServiceRequest &Req,
                                       const WorkerLimits &Limits,
-                                      ContentKey *Canon = nullptr);
+                                      ContentKey *Canon = nullptr,
+                                      const KeyCallback &OnKey = nullptr);
 
 /// Forked-child entry point: serves framed requests on \p Fd until EOF
 /// or a fatal protocol error, then _exit(0)s. Installs SIGPIPE-ignore

@@ -15,6 +15,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -314,6 +315,77 @@ TEST(CacheStore, RefreshAccountsGarbageAndEvictHookFires) {
   Store.noteInsert(keyFor(2), makeResult(2));
   Cache.insert(keyFor(2), makeResult(2));
   EXPECT_GT(Store.garbageBytes(), AfterRefresh);
+}
+
+/// Journals raw -> canon the way the daemon does: record, index, compact.
+void aliasAndCompact(CacheStore &Store, ContentCache &Cache,
+                     const ContentKey &Raw, const ContentKey &Canon) {
+  Store.noteAlias(Raw, Canon);
+  Cache.alias(Raw, Canon);
+  Store.maybeCompact(Cache);
+}
+
+TEST(CacheStore, AliasesTheIndexDropsAreGarbage) {
+  TempJournal J("aliasgarbage");
+  ContentCache Cache(1); // alias bound 4
+  CacheStore Store;
+  CacheRecoveryStats St;
+  std::string Err;
+  ASSERT_TRUE(Store.open(J.Path, Cache, St, Err)) << Err;
+  Store.noteInsert(keyFor(0), makeResult(0));
+  Cache.insert(keyFor(0), makeResult(0));
+  const uint64_t Record =
+      CacheStore::encodeRecord(
+          CacheStore::encodeAliasPayload(ContentKey{1, 1}, keyFor(0)))
+          .size();
+
+  for (uint64_t N = 1; N <= 4; ++N)
+    aliasAndCompact(Store, Cache, ContentKey{N, N}, keyFor(0));
+  EXPECT_EQ(Store.garbageBytes(), 0u);
+  aliasAndCompact(Store, Cache, ContentKey{5, 5}, keyFor(0));
+  EXPECT_EQ(Store.garbageBytes(), Record) << "dropped by the bound";
+  aliasAndCompact(Store, Cache, ContentKey{5, 5}, keyFor(0));
+  EXPECT_EQ(Store.garbageBytes(), 2 * Record) << "replaced by a re-alias";
+
+  Store.noteInsert(keyFor(1), makeResult(1));
+  Cache.insert(keyFor(1), makeResult(1)); // evicts 0: its aliases dangle
+  const uint64_t AfterEvict = Store.garbageBytes();
+  EXPECT_EQ(Cache.lookupRaw(ContentKey{5, 5}), nullptr);
+  EXPECT_EQ(Store.garbageBytes(), AfterEvict + Record)
+      << "erased as dangling";
+}
+
+TEST(CacheStore, AliasOnlyTrafficCompactsAndStaysBounded) {
+  // Variants of stored content journal an alias and nothing else. Far
+  // more of them than the index keeps (4x entries) must still compact.
+  TempJournal J("aliasonly");
+  ContentCache Cache(2);
+  CacheStore Store;
+  Store.Opts.SyncEveryWrite = false;
+  CacheRecoveryStats St;
+  std::string Err;
+  ASSERT_TRUE(Store.open(J.Path, Cache, St, Err)) << Err;
+  Store.noteInsert(keyFor(0), makeResult(0));
+  Cache.insert(keyFor(0), makeResult(0));
+
+  uint64_t MaxBytes = 0;
+  for (uint64_t N = 1; N <= 5000; ++N) {
+    aliasAndCompact(Store, Cache, ContentKey{N, N}, keyFor(0));
+    MaxBytes = std::max(MaxBytes, Store.journalBytes());
+  }
+  EXPECT_GT(Store.compactions(), 0u);
+  EXPECT_LE(MaxBytes, 2 * Store.Opts.CompactMinBytes)
+      << "5000 aliases of ~100 bytes each must not accumulate";
+  Store.close();
+
+  // The compacted journal still replays the entry and the newest aliases.
+  ContentCache Cache2(2);
+  CacheStore Store2;
+  CacheRecoveryStats St2;
+  ASSERT_TRUE(Store2.open(J.Path, Cache2, St2, Err)) << Err;
+  EXPECT_EQ(St2.DiscardedRecords, 0u);
+  EXPECT_NE(Cache2.lookupRaw(ContentKey{5000, 5000}), nullptr);
+  EXPECT_EQ(Cache2.lookupRaw(ContentKey{1, 1}), nullptr);
 }
 
 } // namespace

@@ -224,4 +224,31 @@ TEST(ContentCacheAlias, AliasIndexIsBounded) {
       Cache.lookupRaw(hashContent("variant-63", "c", "t", "")), nullptr);
 }
 
+TEST(ContentCacheAlias, ReAliasAfterDanglingEraseKeepsOneOrderEntry) {
+  // Erasing a dangling alias must also forget its place in the order.
+  // Otherwise re-aliasing the raw key queues it twice: compaction writes
+  // it twice, and the bound trims the fresh alias as if it were oldest.
+  ContentCache Cache(4); // alias bound 16
+  ContentKey Raw = hashContent("variant", "coalesce-all", "alpha", "");
+  Cache.insert(keyFor(0), resultFor(0));
+  Cache.alias(Raw, keyFor(0));
+  for (int I = 1; I <= 4; ++I)
+    Cache.insert(keyFor(I), resultFor(I)); // evicts 0
+  ASSERT_EQ(Cache.lookupRaw(Raw), nullptr); // dangling: erased
+
+  Cache.insert(keyFor(0), resultFor(0));
+  Cache.alias(Raw, keyFor(0));
+  size_t Visits = 0;
+  Cache.forEachAlias([&](const ContentKey &R, const ContentKey &) {
+    Visits += R == Raw ? 1 : 0;
+  });
+  EXPECT_EQ(Visits, 1u);
+
+  for (int I = 0; I < 15; ++I)
+    Cache.alias(hashContent("other-" + std::to_string(I), "c", "t", ""),
+                keyFor(0));
+  EXPECT_NE(Cache.lookupRaw(Raw), nullptr)
+      << "16 aliases fit the bound; the re-aliased one must still resolve";
+}
+
 } // namespace

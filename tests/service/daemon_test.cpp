@@ -22,9 +22,12 @@
 #if defined(__unix__) || defined(__APPLE__)
 
 #include <csignal>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <vector>
 
 using namespace vpo;
 using namespace vpo::service;
@@ -115,6 +118,7 @@ public:
   }
 
   const std::string &socket() const { return Socket; }
+  pid_t pid() const { return Pid; }
 
 private:
   std::string Socket;
@@ -141,6 +145,19 @@ std::string extra(const ServiceResponse &R, const std::string &Key) {
     if (KV.first == Key)
       return KV.second;
   return "<missing " + Key + ">";
+}
+
+ServiceResponse status(ServiceClient &C) {
+  ServiceRequest St;
+  St.Op = "status";
+  return mustCall(C, St);
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream OS;
+  OS << In.rdbuf();
+  return OS.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,27 +255,128 @@ TEST(DaemonCache, RepeatIsAByteIdenticalHit) {
 }
 
 TEST(DaemonCache, WhitespaceVariantSharesTheEntry) {
-  DaemonHarness H;
+  DaemonOptions Opts;
+  Opts.CacheJournalPath =
+      "/tmp/vpod_test_" + std::to_string(::getpid()) + "_variant.vpj";
+  ::unlink(Opts.CacheJournalPath.c_str());
+  DaemonHarness H(Opts);
   ServiceClient C;
   ASSERT_TRUE(H.connect(C));
 
   ServiceResponse Canon = mustCall(C, compileReq("canon"));
   ASSERT_EQ(Canon.Status, ErrorCode::Ok) << Canon.Error;
+  ASSERT_FALSE(Canon.Cached);
+  const std::string JournalBefore = slurp(Opts.CacheJournalPath);
 
-  // Different raw bytes, same kernel: one worker round canonicalizes it
-  // to the same key, and from then on it hits the cache directly.
+  // Different raw bytes, same kernel: the worker parses it and names the
+  // stored canonical key, so the daemon answers from the store with no
+  // compile. From then on the variant's raw bytes hit directly.
   ServiceRequest Variant = compileReq("variant");
   Variant.IR = std::string("\n  ") + SumKernel + "\n\t\n";
   ServiceResponse First = mustCall(C, Variant);
   ASSERT_EQ(First.Status, ErrorCode::Ok) << First.Error;
+  EXPECT_TRUE(First.Cached);
   EXPECT_EQ(First.Key, Canon.Key);
   EXPECT_EQ(First.resultSignature(), Canon.resultSignature());
+  ServiceResponse S = status(C);
+  EXPECT_EQ(extra(S, "canonical_hits"), "1");
+  EXPECT_EQ(extra(S, "cache_hits"), "0");
+
+  // The journal gained the variant's alias and nothing else.
+  std::optional<ContentKey> CanonKey = contentKeyFromHex(Canon.Key);
+  ASSERT_TRUE(CanonKey.has_value());
+  ContentKey Raw = hashContent(Variant.IR, Variant.Config, Variant.Target,
+                               runSignature(Variant));
+  std::string Alias = CacheStore::encodeRecord(
+      CacheStore::encodeAliasPayload(Raw, *CanonKey));
+  EXPECT_EQ(slurp(Opts.CacheJournalPath), JournalBefore + Alias);
 
   Variant.Id = "variant-again";
   ServiceResponse Second = mustCall(C, Variant);
   EXPECT_TRUE(Second.Cached);
   EXPECT_EQ(Second.resultSignature(), Canon.resultSignature());
+  S = status(C);
+  EXPECT_EQ(extra(S, "canonical_hits"), "1");
+  EXPECT_EQ(extra(S, "cache_hits"), "1");
+  ::unlink(Opts.CacheJournalPath.c_str());
 }
+
+TEST(DaemonCache, PlantedVariantStillReachesThePipeline) {
+  DaemonHarness H;
+  ServiceClient C;
+  ASSERT_TRUE(H.connect(C));
+  ServiceResponse Canon = mustCall(C, compileReq("canon"));
+  ASSERT_EQ(Canon.Status, ErrorCode::Ok) << Canon.Error;
+
+  // A plant is part of the request, not the content: no key exchange, so
+  // the crash plant after parsing fires and the ladder serves rung 1.
+  ServiceRequest Variant = compileReq("planted");
+  Variant.IR = std::string("\n") + SumKernel;
+  Variant.Fault = "crash";
+  ServiceResponse R = mustCall(C, Variant);
+  ASSERT_EQ(R.Status, ErrorCode::Ok) << R.Error;
+  EXPECT_FALSE(R.Cached);
+  EXPECT_EQ(R.Rung, 1u);
+  EXPECT_EQ(R.Degraded, "worker-crash");
+  ServiceResponse S = status(C);
+  EXPECT_EQ(extra(S, "canonical_hits"), "0");
+  EXPECT_EQ(extra(S, "worker_crashes"), "1");
+}
+
+#ifdef __linux__
+/// The daemon's live worker processes: its children, from procfs.
+std::vector<pid_t> workerPids(pid_t Daemon) {
+  std::ifstream In("/proc/" + std::to_string(Daemon) + "/task/" +
+                   std::to_string(Daemon) + "/children");
+  std::vector<pid_t> Pids;
+  for (pid_t P; In >> P;)
+    Pids.push_back(P);
+  return Pids;
+}
+
+TEST(DaemonCache, ProbationProbeRunsThePipeline) {
+  DaemonOptions Opts;
+  Opts.Workers = 1;
+  DaemonHarness H(Opts);
+  ServiceClient C;
+  ASSERT_TRUE(H.connect(C));
+  ServiceResponse Canon = mustCall(C, compileReq("canon"));
+  ASSERT_EQ(Canon.Status, ErrorCode::Ok) << Canon.Error;
+
+  // Three deaths with no success between them make the slot sticky-
+  // degraded; idle deaths count (that is what boot trouble looks like).
+  for (int I = 0; I < 3; ++I) {
+    std::vector<pid_t> Before = workerPids(H.pid());
+    ASSERT_EQ(Before.size(), 1u);
+    ::kill(Before[0], SIGKILL);
+    bool Respawned = false;
+    for (int T = 0; T < 500 && !Respawned; ++T) {
+      ::usleep(10'000);
+      std::vector<pid_t> Now = workerPids(H.pid());
+      Respawned = Now.size() == 1 && Now[0] != Before[0];
+    }
+    ASSERT_TRUE(Respawned) << "kill " << I;
+  }
+  ASSERT_EQ(extra(status(C), "sticky_degraded"), "1");
+  ServiceRequest Reload;
+  Reload.Op = "reload";
+  ASSERT_EQ(extra(mustCall(C, Reload), "probes_armed"), "1");
+
+  // The armed probe is a rung-0 unplanted attempt of stored content, but
+  // it exists to test the full pipeline: the verdict must be "compile".
+  ServiceRequest Variant = compileReq("probe");
+  Variant.IR = std::string("\n") + SumKernel;
+  ServiceResponse R = mustCall(C, Variant);
+  ASSERT_EQ(R.Status, ErrorCode::Ok) << R.Error;
+  EXPECT_FALSE(R.Cached);
+  EXPECT_EQ(R.Rung, 0u);
+  EXPECT_EQ(R.resultSignature(), Canon.resultSignature());
+  ServiceResponse S = status(C);
+  EXPECT_EQ(extra(S, "probes"), "1");
+  EXPECT_EQ(extra(S, "sticky_degraded"), "0");
+  EXPECT_EQ(extra(S, "canonical_hits"), "0");
+}
+#endif // __linux__
 
 TEST(DaemonCache, ServingFlagsFilterWithoutForkingIdentity) {
   DaemonHarness H;

@@ -317,4 +317,32 @@ TEST(Messages, ResultSignatureCoversResultFields) {
   EXPECT_NE(Base.resultSignature(), DifferentRung.resultSignature());
 }
 
+//===----------------------------------------------------------------------===//
+// The worker hop's key exchange
+//===----------------------------------------------------------------------===//
+
+TEST(KeyExchange, FramesRoundtripAndRejectEverythingElse) {
+  const std::string Hex = "0123456789abcdef0123456789abcdef";
+  EXPECT_EQ(parseKeyFrame(keyFrame(Hex)), Hex);
+  EXPECT_EQ(parseVerdictFrame(verdictFrame(true)), true);
+  EXPECT_EQ(parseVerdictFrame(verdictFrame(false)), false);
+
+  // The daemon tells a key frame from a compile response on the same
+  // stream; a response (even one carrying a key) is never a key frame.
+  ServiceResponse R;
+  R.Key = Hex;
+  EXPECT_FALSE(parseKeyFrame(R.toJson()).has_value());
+  EXPECT_FALSE(parseKeyFrame("{\"op\":\"key\"}").has_value());
+  EXPECT_FALSE(
+      parseKeyFrame("{\"op\":\"key\",\"key\":\"k\",\"x\":\"1\"}").has_value());
+  EXPECT_FALSE(parseKeyFrame("{\"op\":\"key\",\"key\":").has_value());
+
+  // The worker dies on anything but a well-formed verdict.
+  EXPECT_FALSE(parseVerdictFrame(ServiceRequest().toJson()).has_value());
+  EXPECT_FALSE(parseVerdictFrame("{\"op\":\"verdict\"}").has_value());
+  EXPECT_FALSE(
+      parseVerdictFrame("{\"op\":\"verdict\",\"hit\":\"yes\"}").has_value());
+  EXPECT_FALSE(parseVerdictFrame("not json").has_value());
+}
+
 } // namespace

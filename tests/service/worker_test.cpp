@@ -7,8 +7,9 @@
 /// \file
 /// The worker's pure compile core (compileServiceRequest) and the
 /// degradation ladder, driven in-process with no daemon: request
-/// validation, canonical content keys across textual variants,
-/// byte-stable results (cached-vs-fresh equivalence), run-mode
+/// validation, canonical content keys across textual variants (a
+/// metamorphic check over generated kernels), the key callback, byte-
+/// stable results (cached-vs-fresh equivalence), run-mode
 /// simulation with its trap and budget semantics, guard-rail incident
 /// reporting for injected pass faults at every rung, and the ladder's
 /// options transform itself.
@@ -17,13 +18,19 @@
 
 #include "service/Worker.h"
 
+#include "fuzz/KernelGen.h"
 #include "ir/Function.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "pipeline/FaultInjection.h"
+#include "sim/Memory.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <functional>
 
 using namespace vpo;
 using namespace vpo::service;
@@ -215,37 +222,186 @@ TEST(WorkerCompile, DeterministicByteIdenticalResults) {
   EXPECT_EQ(A.resultSignature(), B.resultSignature());
 }
 
+/// A run-mode request for the key checks: the hand-written SumKernel and
+/// a fixed-seed set of KernelGen kernels, each with arguments laid out
+/// over the worker's 64 KB run arena.
+struct KeyCase {
+  std::string IR;
+  std::vector<int64_t> Args;
+};
+
+std::vector<KeyCase> keyCases() {
+  std::vector<KeyCase> Cases = {{SumKernel, {8192, 8}}};
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    fuzz::GeneratedKernel K = fuzz::generateKernel(Seed);
+    Memory Arena(64 * 1024 + 4096); // the layout the worker's arena gets
+    Cases.push_back(
+        {K.IRText, fuzz::setupKernelMemory(K.Spec, 8, Arena, 0)});
+  }
+  return Cases;
+}
+
+ServiceRequest caseReq(const std::string &IR,
+                       const std::vector<int64_t> &Args) {
+  ServiceRequest Req = compileReq(IR.c_str());
+  for (int64_t A : Args)
+    Req.RunArgs += (Req.RunArgs.empty() ? "" : ",") + std::to_string(A);
+  Req.ArenaKB = 64;
+  return Req;
+}
+
+/// \p IR with \p Edit applied to every line.
+std::string
+perLine(const std::string &IR,
+        const std::function<std::string(const std::string &)> &Edit) {
+  std::string Out;
+  for (size_t Pos = 0; Pos < IR.size();) {
+    size_t NL = std::min(IR.find('\n', Pos), IR.size());
+    Out += Edit(IR.substr(Pos, NL - Pos)) + "\n";
+    Pos = NL + 1;
+  }
+  return Out;
+}
+
+/// \p IR with the number that starts at \p At replaced by \p Edit(number).
+std::string editNumberAt(const std::string &IR, size_t At,
+                         const std::function<int64_t(int64_t)> &Edit) {
+  size_t End = IR.find_first_not_of("-0123456789", At);
+  int64_t V = std::stoll(IR.substr(At, End - At));
+  return IR.substr(0, At) + std::to_string(Edit(V)) + IR.substr(End);
+}
+
+/// \returns the canonical key of \p Req, stopping at the key callback.
+ContentKey keyOf(const ServiceRequest &Req) {
+  ContentKey K;
+  ServiceResponse R = compileServiceRequest(
+      Req, WorkerLimits(), nullptr, [&K](const ContentKey &C) {
+        K = C;
+        return true;
+      });
+  EXPECT_TRUE(R.Cached) << "never reached the key: " << R.Error;
+  return K;
+}
+
 TEST(WorkerCompile, WhitespaceVariantsShareTheCanonicalKey) {
-  ContentKey K1, K2;
-  compileServiceRequest(compileReq(), WorkerLimits(), &K1);
-  std::string Variant = std::string("\n\n  ") + SumKernel + "\n   \n";
-  ServiceResponse R =
-      compileServiceRequest(compileReq(Variant.c_str()), WorkerLimits(), &K2);
-  ASSERT_EQ(R.Status, ErrorCode::Ok) << R.Error;
-  EXPECT_EQ(K1, K2) << "canonicalization must erase formatting";
-  EXPECT_FALSE(K1.isZero());
+  // A canonical hit serves stored bytes to text that was never compiled,
+  // so every non-semantic spelling must give the same key *and* compile
+  // to the same result.
+  for (const KeyCase &KC : keyCases()) {
+    SCOPED_TRACE(KC.IR);
+    ServiceRequest Base = caseReq(KC.IR, KC.Args);
+    ContentKey K1;
+    ServiceResponse R1 = compileServiceRequest(Base, WorkerLimits(), &K1);
+    ASSERT_EQ(R1.Status, ErrorCode::Ok) << R1.Error;
+    ASSERT_TRUE(R1.Ran);
+    EXPECT_FALSE(K1.isZero());
+    const std::pair<const char *, std::string> Spellings[] = {
+        {"blank lines",
+         perLine(KC.IR, [](const std::string &L) { return L + "\n"; })},
+        {"trailing spaces",
+         perLine(KC.IR, [](const std::string &L) { return L + " \t "; })},
+        {"// comment lines", perLine(KC.IR,
+                                     [](const std::string &L) {
+                                       return "// note\n" + L;
+                                     })},
+        {"# comment lines", "# kernel\n" + KC.IR + "# end of kernel\n"},
+    };
+    for (const auto &[What, Text] : Spellings) {
+      ServiceRequest Variant = Base;
+      Variant.IR = Text;
+      ContentKey K2;
+      ServiceResponse R2 = compileServiceRequest(Variant, WorkerLimits(), &K2);
+      EXPECT_EQ(K1, K2) << What;
+      EXPECT_EQ(R1.resultSignature(), R2.resultSignature()) << What;
+    }
+  }
 }
 
 TEST(WorkerCompile, ConfigTargetAndRunShapeTheKey) {
-  auto KeyOf = [](ServiceRequest Req) {
-    ContentKey K;
-    EXPECT_EQ(compileServiceRequest(Req, WorkerLimits(), &K).Status,
-              ErrorCode::Ok);
-    return K;
+  // Each single semantic edit must move the key, or a canonical hit would
+  // serve one request's stored result to another.
+  for (const KeyCase &KC : keyCases()) {
+    SCOPED_TRACE(KC.IR);
+    ServiceRequest Base = caseReq(KC.IR, KC.Args);
+    ContentKey K = keyOf(Base);
+    auto ExpectMoved = [&K](const char *What, const ServiceRequest &Req) {
+      EXPECT_FALSE(keyOf(Req) == K) << What;
+    };
+
+    size_t Mov = KC.IR.find(" = mov ");
+    while (Mov != std::string::npos && !std::isdigit(KC.IR[Mov + 7]))
+      Mov = KC.IR.find(" = mov ", Mov + 1);
+    ASSERT_NE(Mov, std::string::npos);
+    ServiceRequest Imm = Base;
+    Imm.IR = editNumberAt(KC.IR, Mov + 7, [](int64_t V) { return V + 1; });
+    ExpectMoved("immediate", Imm);
+
+    size_t Mem = std::min(KC.IR.find("load.i"), KC.IR.find("store.i"));
+    ASSERT_NE(Mem, std::string::npos);
+    ServiceRequest Width = Base;
+    Width.IR = editNumberAt(KC.IR, KC.IR.find(".i", Mem) + 2, [](int64_t W) {
+      return W == 64 ? 32 : W * 2;
+    });
+    ExpectMoved("load/store width", Width);
+
+    ServiceRequest Tgt = Base;
+    Tgt.Target = "m88100";
+    ExpectMoved("target", Tgt);
+
+    ServiceRequest Cfg = Base;
+    Cfg.Config = "O0";
+    ExpectMoved("config", Cfg);
+
+    std::vector<int64_t> Args = KC.Args;
+    Args.back() += 1;
+    ExpectMoved("run args", caseReq(KC.IR, Args));
+
+    ServiceRequest Arena = Base;
+    Arena.ArenaKB = 128;
+    ExpectMoved("arena size", Arena);
+  }
+}
+
+TEST(WorkerCompile, KeyCallbackIsAskedOnlyWhenTheExchangeIsDue) {
+  ServiceRequest Req = compileReq();
+  ServiceResponse Full = compileServiceRequest(Req, WorkerLimits());
+  ASSERT_EQ(Full.Status, ErrorCode::Ok) << Full.Error;
+
+  // Asked once, after parsing; "stored" ends the attempt before the
+  // pipeline with the key and no payload.
+  unsigned Asked = 0;
+  ServiceResponse Hit = compileServiceRequest(
+      Req, WorkerLimits(), nullptr, [&](const ContentKey &K) {
+        ++Asked;
+        EXPECT_EQ(K.hex(), Full.Key);
+        return true;
+      });
+  EXPECT_EQ(Asked, 1u);
+  EXPECT_TRUE(Hit.Cached);
+  EXPECT_EQ(Hit.Key, Full.Key);
+  EXPECT_TRUE(Hit.IR.empty());
+  EXPECT_TRUE(Hit.Stats.empty());
+
+  // "Not stored" compiles exactly as with no callback.
+  ServiceResponse Miss = compileServiceRequest(
+      Req, WorkerLimits(), nullptr, [](const ContentKey &) { return false; });
+  EXPECT_FALSE(Miss.Cached);
+  EXPECT_EQ(Miss.resultSignature(), Full.resultSignature());
+
+  // Degraded and planted attempts must reach the pipeline unasked.
+  KeyCallback Never = [](const ContentKey &) {
+    ADD_FAILURE() << "asked on an attempt the exchange is not due for";
+    return true;
   };
-  ContentKey Base = KeyOf(compileReq());
-
-  ServiceRequest Cfg = compileReq();
-  Cfg.Config = "O0";
-  EXPECT_FALSE(KeyOf(Cfg) == Base);
-
-  ServiceRequest Tgt = compileReq();
-  Tgt.Target = "m88100";
-  EXPECT_FALSE(KeyOf(Tgt) == Base);
-
-  ServiceRequest Run = compileReq();
-  Run.RunArgs = "8192,4";
-  EXPECT_FALSE(KeyOf(Run) == Base);
+  ServiceRequest Degraded = Req;
+  Degraded.Rung = 1;
+  EXPECT_FALSE(
+      compileServiceRequest(Degraded, WorkerLimits(), nullptr, Never).Cached);
+  ServiceRequest Planted = Req;
+  Planted.Fault = "coalesce:not-a-kind:1";
+  WorkerLimits Faulty;
+  Faulty.AllowFaultInjection = true;
+  EXPECT_FALSE(compileServiceRequest(Planted, Faulty, nullptr, Never).Cached);
 }
 
 TEST(WorkerCompile, ServingFlagsDoNotChangeTheKey) {

@@ -199,11 +199,12 @@ int main(int Argc, char **Argv) {
   D.run();
   const DaemonCounters &C = D.counters();
   std::fprintf(stderr,
-               "vpod: stopped. requests=%llu cache_hits=%llu shed=%llu "
-               "crashes=%llu deadlines=%llu respawns=%llu degraded=%llu "
-               "exhausted=%llu\n",
+               "vpod: stopped. requests=%llu cache_hits=%llu "
+               "canonical_hits=%llu shed=%llu crashes=%llu deadlines=%llu "
+               "respawns=%llu degraded=%llu exhausted=%llu\n",
                (unsigned long long)C.Requests,
-               (unsigned long long)C.CacheHits, (unsigned long long)C.Shed,
+               (unsigned long long)C.CacheHits,
+               (unsigned long long)C.CanonicalHits, (unsigned long long)C.Shed,
                (unsigned long long)C.WorkerCrashes,
                (unsigned long long)C.WorkerDeadlines,
                (unsigned long long)C.Respawns,
